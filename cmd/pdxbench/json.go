@@ -319,6 +319,49 @@ func jsonBenchSuite() (*benchReport, error) {
 		}
 	}
 
+	// Warm generic verdict: ExistsSolutionGenericFrom over a cached
+	// canonical target of the keyed setting (examples/settings/keyed.pde)
+	// — the work of a repeated pdxd exists-solution on a setting outside
+	// C_tract. The pair is the clean n=200 shape pdxperf serves: E(a_k,
+	// b_k) in the source, H(a_k, b_k) for odd k in the target, so J_can
+	// has no nulls and a solution exists.
+	{
+		s, err := pde.ParseSetting(`
+setting keyed
+source E/2
+target H/2
+st: E(x,y) -> H(x,y)
+ts: H(x,y) -> E(x,y)
+t: H(x,y), H(x,z) -> y = z
+`)
+		if err != nil {
+			return nil, fmt.Errorf("keyed setting: %w", err)
+		}
+		i, j := rel.NewInstance(), rel.NewInstance()
+		for k := 0; k < 200; k++ {
+			a, b := rel.Const(fmt.Sprintf("a%d", k)), rel.Const(fmt.Sprintf("b%d", k))
+			i.Add("E", a, b)
+			if k%2 == 1 {
+				j.Add("H", a, b)
+			}
+		}
+		ct, err := core.ChaseCanonicalTarget(s, i, j, core.SolveOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("keyed canonical target: %w", err)
+		}
+		var nodes int64
+		rec := record("generic-warm/keyed/n=200", nil, &nodes, func(b *testing.B) {
+			for k := 0; k < b.N; k++ {
+				ok, _, stats, err := core.ExistsSolutionGenericFrom(s, i, j, ct, core.SolveOptions{})
+				if err != nil || !ok {
+					b.Fatalf("keyed n=200 rejected: ok=%v err=%v", ok, err)
+				}
+				nodes = stats.Nodes
+			}
+		})
+		rep.Benchmarks = append(rep.Benchmarks, rec)
+	}
+
 	// Deep recursion: one tgd layer per round, where naive trigger
 	// collection is quadratic in depth.
 	for _, depth := range []int{8, 16} {

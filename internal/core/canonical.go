@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/chase"
 	"repro/internal/rel"
@@ -18,6 +19,15 @@ import (
 // chase result, the (optionally Σt-chased) J_can the image search runs
 // over, and the null-naming state after all chases. Instances are
 // frozen; a CanonicalTarget may be shared by concurrent solves.
+//
+// It also carries the prepared image search over J_can, built by the
+// first solve and shared read-only by every later one: the search
+// structure (null order, candidate domain, the facts' null structure),
+// the level-0 grounding with its Σts checks, and — when J_can has no
+// nulls — the decided single leaf. Later solves therefore search only
+// from level 1, or replay the decided root. The prepared search is
+// never serialized: a decoded, resumed or migrated target prepares on
+// its first solve. Its size is bounded by that of J_can.
 type CanonicalTarget struct {
 	// STResult is the Σst chase of I ∪ J, retained for chase.Resume
 	// after an instance append.
@@ -35,6 +45,10 @@ type CanonicalTarget struct {
 	// per-solve leaf chases continue from it so resumed solves draw
 	// exactly the labels a from-scratch run would.
 	NullState int
+
+	// prep is the prepared image search (nil until the first solve
+	// that completes its build).
+	prep atomic.Pointer[searchPlan]
 }
 
 // ChaseCanonicalTarget runs the chase phases of the generic solver for
@@ -85,20 +99,40 @@ func ChaseCanonicalTarget(s *Setting, i, j *rel.Instance, opts SolveOptions) (*C
 // ForEachImageSolutionFrom is ForEachImageSolution over a precomputed
 // canonical target: it runs only the image search, starting the
 // per-solve null source from ct.NullState so leaf Σt chases never
-// collide with the cached J_can's nulls. ct is not mutated.
+// collide with the cached J_can's nulls.
+//
+// ct must have been chased from the same setting and instances (by
+// content): the first solve prepares the search from them and stores it
+// in ct, and later solves reuse it. Concurrent first solves may each
+// build the plan; one is kept. A build cut short by cancellation is
+// never kept. Options that change what the early levels compute —
+// Naive, and a nonzero MaxChaseSteps — run the unprepared search.
 func ForEachImageSolutionFrom(s *Setting, i, j *rel.Instance, ct *CanonicalTarget, opts SolveOptions, fn func(*rel.Instance) bool) (*SolveStats, error) {
 	opts.Hom = opts.homOpts()
-	nulls := &rel.NullSource{}
-	nulls.SetState(ct.NullState)
-	copts := chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, NaiveTriggers: opts.NaiveChase, Ctx: opts.Ctx}
-	if ct.TFailed {
-		sv := newImageSearch(s, i, j, rel.NewInstance(), opts, copts)
-		sv.stats.Nodes = 0
-		return &sv.stats, nil
+	copts := leafChaseOptions(ct, opts)
+	if opts.Naive || opts.MaxChaseSteps != 0 {
+		return searchUnprepared(s, i, j, ct, opts, copts, fn)
 	}
-	sv := newImageSearch(s, i, j, ct.JCan, opts, copts)
+	p := ct.prep.Load()
+	if p == nil {
+		built, stats, err := prepareSearch(s, i, j, ct, opts, copts)
+		if err != nil {
+			return stats, err
+		}
+		ct.prep.CompareAndSwap(nil, built)
+		p = ct.prep.Load()
+	}
+	sv := newImageSearch(s, i, j, p, opts, copts)
 	err := sv.run(fn)
 	return &sv.stats, err
+}
+
+// leafChaseOptions returns the chase options of one solve over ct: a
+// fresh null source continuing from ct.NullState.
+func leafChaseOptions(ct *CanonicalTarget, opts SolveOptions) chase.Options {
+	nulls := &rel.NullSource{}
+	nulls.SetState(ct.NullState)
+	return chase.Options{Nulls: nulls, Hom: opts.Hom, MaxSteps: opts.MaxChaseSteps, NaiveTriggers: opts.NaiveChase, Ctx: opts.Ctx}
 }
 
 // ExistsSolutionGenericFrom is ExistsSolutionGeneric over a precomputed

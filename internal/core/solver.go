@@ -162,19 +162,18 @@ func forEachImageSolution(s *Setting, i, j *rel.Instance, opts SolveOptions, fn 
 	if err != nil {
 		return nil, err
 	}
-	return ForEachImageSolutionFrom(s, i, j, ct, opts, fn)
+	// A from-scratch solve owns its canonical target, so preparing it
+	// for later solves would only add work.
+	opts.Hom = opts.homOpts()
+	return searchUnprepared(s, i, j, ct, opts, leafChaseOptions(ct, opts), fn)
 }
 
-// imageSearch is the backtracking state for the assignment search over
-// the nulls of J_can.
-type imageSearch struct {
-	s     *Setting
-	i     *rel.Instance
-	j     *rel.Instance
-	opts  SolveOptions
-	copts chase.Options
-	stats SolveStats
-
+// searchPlan is the solve-independent structure of the image search
+// over one canonical target: the null order, the candidate domain, and
+// the facts of J_can with their null structure. A prepared plan (see
+// prepareSearch) also records the decided root of the search.
+// Prepared plans are shared read-only by concurrent solves.
+type searchPlan struct {
 	nulls  []rel.Value // nulls of J_can in assignment order
 	domain []rel.Value // shared candidate constants (adom(I) [∪ adom(J)])
 
@@ -183,9 +182,32 @@ type imageSearch struct {
 	factNulls [][]int // indexes into nulls, per fact
 	readyAt   [][]int // facts becoming fully assigned at null index k
 
+	// The decided root, set by prepareSearch only. rootDone reports
+	// that level 0 was grounded and Σts-checked once; rootOK is its
+	// verdict; root is the frozen level-0 grounding each solve clones
+	// (only when J_can has nulls). leafDone reports that J_can has no
+	// nulls and its single leaf was decided: leaf is the frozen
+	// accepted candidate, nil when the leaf is not a solution.
+	rootDone bool
+	rootOK   bool
+	root     *rel.Instance
+	leafDone bool
+	leaf     *rel.Instance
+}
+
+// imageSearch is the per-solve backtracking state for the assignment
+// search over the nulls of J_can.
+type imageSearch struct {
+	*searchPlan
+	s     *Setting
+	i     *rel.Instance
+	j     *rel.Instance
+	opts  SolveOptions
+	copts chase.Options
+	stats SolveStats
+
 	assignment map[rel.Value]rel.Value // null -> value (may map null to itself)
 	cur        *rel.Instance           // grounded target facts assigned so far
-	curSrc     *rel.Instance           // i ∪ cur, maintained incrementally
 	levelAdded [][]rel.Fact            // facts grounded per level, for LIFO undo
 	factResp   map[string][]int        // grounded fact key -> responsible null indexes
 	stopped    bool
@@ -195,26 +217,16 @@ type imageSearch struct {
 // carry no usable conflict information); no candidate skipping applies.
 const noConflict = int(^uint(0) >> 1)
 
-func newImageSearch(s *Setting, i, j, jcan *rel.Instance, opts SolveOptions, copts chase.Options) *imageSearch {
-	sv := &imageSearch{
-		s:          s,
-		i:          i,
-		j:          j,
-		opts:       opts,
-		copts:      copts,
-		assignment: make(map[rel.Value]rel.Value),
-		cur:        rel.NewInstance(),
-		curSrc:     i.Clone(),
-		factResp:   make(map[string][]int),
-	}
-
+// newSearchPlan computes the search structure of jcan for (s, i, j).
+func newSearchPlan(s *Setting, i, j, jcan *rel.Instance) *searchPlan {
+	p := &searchPlan{}
 	nullSet := jcan.Nulls()
 	for n := range nullSet {
-		sv.nulls = append(sv.nulls, n)
+		p.nulls = append(p.nulls, n)
 	}
-	sort.Slice(sv.nulls, func(a, b int) bool { return sv.nulls[a].Less(sv.nulls[b]) })
-	nullIdx := make(map[rel.Value]int, len(sv.nulls))
-	for idx, n := range sv.nulls {
+	sort.Slice(p.nulls, func(a, b int) bool { return p.nulls[a].Less(p.nulls[b]) })
+	nullIdx := make(map[rel.Value]int, len(p.nulls))
+	for idx, n := range p.nulls {
 		nullIdx[n] = idx
 	}
 
@@ -235,14 +247,14 @@ func newImageSearch(s *Setting, i, j, jcan *rel.Instance, opts SolveOptions, cop
 		}
 	}
 	for v := range domSet {
-		sv.domain = append(sv.domain, v)
+		p.domain = append(p.domain, v)
 	}
-	sort.Slice(sv.domain, func(a, b int) bool { return sv.domain[a].Less(sv.domain[b]) })
+	sort.Slice(p.domain, func(a, b int) bool { return p.domain[a].Less(p.domain[b]) })
 
-	sv.facts = jcan.Facts()
-	sv.factNulls = make([][]int, len(sv.facts))
-	sv.readyAt = make([][]int, len(sv.nulls)+1)
-	for fi, f := range sv.facts {
+	p.facts = jcan.Facts()
+	p.factNulls = make([][]int, len(p.facts))
+	p.readyAt = make([][]int, len(p.nulls)+1)
+	for fi, f := range p.facts {
 		maxIdx := -1
 		seen := map[int]bool{}
 		for _, v := range f.Args {
@@ -250,24 +262,105 @@ func newImageSearch(s *Setting, i, j, jcan *rel.Instance, opts SolveOptions, cop
 				k := nullIdx[v]
 				if !seen[k] {
 					seen[k] = true
-					sv.factNulls[fi] = append(sv.factNulls[fi], k)
+					p.factNulls[fi] = append(p.factNulls[fi], k)
 				}
 				if k > maxIdx {
 					maxIdx = k
 				}
 			}
 		}
-		sv.readyAt[maxIdx+1] = append(sv.readyAt[maxIdx+1], fi)
+		p.readyAt[maxIdx+1] = append(p.readyAt[maxIdx+1], fi)
 	}
+	return p
+}
 
-	sv.stats.NullCount = len(sv.nulls)
-	sv.stats.DomainSize = len(sv.domain) + 1
+// newImageSearch starts one solve over plan p. A prepared root is
+// cloned, so the solve grounds only from level 1 on.
+func newImageSearch(s *Setting, i, j *rel.Instance, p *searchPlan, opts SolveOptions, copts chase.Options) *imageSearch {
+	sv := &imageSearch{
+		searchPlan: p,
+		s:          s,
+		i:          i,
+		j:          j,
+		opts:       opts,
+		copts:      copts,
+		assignment: make(map[rel.Value]rel.Value),
+		factResp:   make(map[string][]int),
+	}
+	if p.root != nil {
+		sv.cur = p.root.Clone()
+	} else {
+		sv.cur = rel.NewInstance()
+	}
+	sv.stats.NullCount = len(p.nulls)
+	sv.stats.DomainSize = len(p.domain) + 1
 	return sv
 }
 
+// searchUnprepared runs the whole image search over ct, building its
+// plan for this solve only.
+func searchUnprepared(s *Setting, i, j *rel.Instance, ct *CanonicalTarget, opts SolveOptions, copts chase.Options, fn func(*rel.Instance) bool) (*SolveStats, error) {
+	sv := newImageSearch(s, i, j, targetPlan(s, i, j, ct), opts, copts)
+	err := sv.run(fn)
+	return &sv.stats, err
+}
+
+// targetPlan returns the search structure of ct. A failing Σt chase
+// admits no image, so its plan has an empty J_can and a decided,
+// rejected root.
+func targetPlan(s *Setting, i, j *rel.Instance, ct *CanonicalTarget) *searchPlan {
+	if ct.TFailed {
+		p := newSearchPlan(s, i, j, rel.NewInstance())
+		p.rootDone = true
+		return p
+	}
+	return newSearchPlan(s, i, j, ct.JCan)
+}
+
+// prepareSearch builds ct's prepared plan: the search structure, the
+// level-0 grounding with its Σts checks, and — when J_can has no nulls
+// — the outcome of the single leaf. It runs exactly the work the first
+// levels of an unprepared search would, so solves over the plan match
+// unprepared solves byte for byte. A canceled context fails the build;
+// a plan is returned only when it is complete.
+func prepareSearch(s *Setting, i, j *rel.Instance, ct *CanonicalTarget, opts SolveOptions, copts chase.Options) (*searchPlan, *SolveStats, error) {
+	p := targetPlan(s, i, j, ct)
+	if p.rootDone {
+		return p, nil, nil
+	}
+	sv := newImageSearch(s, i, j, p, opts, copts)
+	ok, _ := sv.groundLevel(0)
+	switch {
+	case ok && len(p.nulls) == 0:
+		cand, err := sv.chaseLeaf()
+		if err != nil {
+			return nil, &sv.stats, err
+		}
+		if cand != nil {
+			cand.Freeze()
+		}
+		p.leaf, p.leafDone = cand, true
+	case ok:
+		sv.cur.Freeze()
+		p.root = sv.cur
+	}
+	// A search cut short by cancellation may have reported a spurious
+	// violation: never keep its outcome.
+	if err := canceled(opts.Ctx, "generic solver"); err != nil {
+		return nil, &sv.stats, fmt.Errorf("%w (after 0 nodes)", err)
+	}
+	p.rootDone, p.rootOK = true, ok
+	return p, nil, nil
+}
+
 func (sv *imageSearch) run(fn func(*rel.Instance) bool) error {
-	// Ground facts with no nulls (ready at level 0).
-	if ok, _ := sv.groundLevel(0); !ok {
+	// Ground facts with no nulls (ready at level 0); a prepared plan
+	// grounded them once already.
+	if sv.rootDone {
+		if !sv.rootOK {
+			return nil
+		}
+	} else if ok, _ := sv.groundLevel(0); !ok {
 		return nil // ground facts alone violate Σts: no image can fix it
 	}
 	_, err := sv.dfs(0, fn)
@@ -386,7 +479,7 @@ func maxBelow(resp []int, k int) int {
 }
 
 // groundLevel grounds the facts that become fully assigned at level k,
-// adds them to cur/curSrc, and — unless Naive — checks each new fact's
+// adds them to cur, and — unless Naive — checks each new fact's
 // Σts triggers. On a violation it returns false together with the
 // responsible null indexes of the violated trigger. Grounded facts are
 // tracked per level for LIFO undo.
@@ -405,7 +498,6 @@ func (sv *imageSearch) groundLevel(k int) (bool, []int) {
 		}
 		gf := rel.Fact{Rel: f.Rel, Args: t}
 		if sv.cur.AddFact(gf) {
-			sv.curSrc.AddFact(gf)
 			*added = append(*added, gf)
 			key := gf.String()
 			if _, dup := sv.factResp[key]; !dup {
@@ -428,7 +520,6 @@ func (sv *imageSearch) ungroundLevel(k int) {
 	for idx := len(*added) - 1; idx >= 0; idx-- {
 		f := (*added)[idx]
 		sv.cur.RemoveLastTuple(f.Rel)
-		sv.curSrc.RemoveLastTuple(f.Rel)
 		delete(sv.factResp, f.String())
 	}
 	*added = (*added)[:0]
@@ -602,24 +693,20 @@ func (sv *imageSearch) tsTriggerSatisfied(d dep.TGD, b hom.Binding) bool {
 // leaf handles a fully assigned image: with Σt = ∅ the incremental
 // checks already guarantee a solution (or, in Naive mode, a full check
 // runs here); with Σt nonempty the image is chased with Σt and all
-// constraints are re-verified on the result.
+// constraints are re-verified on the result. A prepared plan over a
+// null-free J_can decided its single leaf once; the solve replays it
+// and hands fn its own copy of the candidate.
 func (sv *imageSearch) leaf(fn func(*rel.Instance) bool) error {
-	candidate := sv.cur.Clone()
-	if len(sv.s.T) > 0 {
-		res, err := chase.Run(candidate, sv.s.T, sv.copts)
-		if err != nil {
-			return fmt.Errorf("core: chasing Σt at leaf: %w", err)
-		}
-		if res.Failed {
+	var candidate *rel.Instance
+	if sv.leafDone {
+		if sv.searchPlan.leaf == nil {
 			return nil
 		}
-		candidate = res.Instance
-		if !sv.s.IsSolution(sv.i, sv.j, candidate) {
-			return nil
-		}
-	} else if sv.opts.Naive {
-		if !sv.s.IsSolution(sv.i, sv.j, candidate) {
-			return nil
+		candidate = sv.searchPlan.leaf.Clone()
+	} else {
+		var err error
+		if candidate, err = sv.chaseLeaf(); err != nil || candidate == nil {
+			return err
 		}
 	}
 	sv.stats.Solutions++
@@ -627,4 +714,28 @@ func (sv *imageSearch) leaf(fn func(*rel.Instance) bool) error {
 		sv.stopped = true
 	}
 	return nil
+}
+
+// chaseLeaf builds the leaf candidate from cur and returns it, or nil
+// when it is not a solution.
+func (sv *imageSearch) chaseLeaf() (*rel.Instance, error) {
+	candidate := sv.cur.Clone()
+	if len(sv.s.T) > 0 {
+		res, err := chase.Run(candidate, sv.s.T, sv.copts)
+		if err != nil {
+			return nil, fmt.Errorf("core: chasing Σt at leaf: %w", err)
+		}
+		if res.Failed {
+			return nil, nil
+		}
+		candidate = res.Instance
+		if !sv.s.IsSolution(sv.i, sv.j, candidate) {
+			return nil, nil
+		}
+	} else if sv.opts.Naive {
+		if !sv.s.IsSolution(sv.i, sv.j, candidate) {
+			return nil, nil
+		}
+	}
+	return candidate, nil
 }

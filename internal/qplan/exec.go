@@ -28,6 +28,9 @@ type runner struct {
 	emit   func(rel.Tuple) bool
 	vals   []rel.Value
 	set    []bool
+	// row, when non-nil, is reused for every emitted head row (the
+	// emit callback must not retain it); nil emits fresh tuples.
+	row rel.Tuple
 }
 
 func newRunner(d *disjunct, i, j *rel.Instance, ctx context.Context, emit func(rel.Tuple) bool) *runner {
@@ -63,7 +66,10 @@ func (r *runner) poll() bool {
 // stopped it, or the context is done).
 func (r *runner) run(depth int) bool {
 	if depth == len(r.d.order) {
-		out := make(rel.Tuple, len(r.d.head))
+		out := r.row
+		if out == nil {
+			out = make(rel.Tuple, len(r.d.head))
+		}
 		for i, t := range r.d.head {
 			if t.constant {
 				out[i] = t.val
@@ -290,7 +296,8 @@ func existsMatch(d *disjunct, i, j *rel.Instance, opts EvalOptions) (bool, error
 
 // forEachRow enumerates one disjunct's head rows serially, stopping
 // when fn returns false (used by the solution probes, which want early
-// exit on the first violation).
+// exit on the first violation). Rows share one buffer: fn must not
+// retain them.
 func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, fn func(rel.Tuple) bool) error {
 	if len(d.order) == 0 {
 		return nil
@@ -305,6 +312,7 @@ func forEachRow(d *disjunct, i, j *rel.Instance, ctx context.Context, fn func(re
 		return nil
 	}
 	r := newRunner(d, i, j, ctx, fn)
+	r.row = make(rel.Tuple, len(d.head))
 	for _, idx := range topCandidates(a, rl) {
 		if !r.tryTuple(a, rl.TupleAt(idx), 0) {
 			break

@@ -27,7 +27,7 @@
 // trigger is satisfied in I depends only on constant bindings, so the
 // identity assignment (keep every null fresh) is a solution whenever
 // any assignment is. Solution existence therefore compiles to violation
-// probes — unfoldings of each Σts body whose distinct head-variable
+// probes — unfoldings of each Σts body whose head-variable
 // rows are checked against I — and certain answers of a UCQ q reduce to
 // evaluating the unfolded q over (I, J): for Boolean queries any match
 // settles certainty, for open queries exactly the matches whose head
@@ -50,7 +50,6 @@ import (
 	"repro/internal/certain"
 	"repro/internal/core"
 	"repro/internal/dep"
-	"repro/internal/hom"
 	"repro/internal/par"
 	"repro/internal/rel"
 )
@@ -173,12 +172,20 @@ type origin struct {
 }
 
 // probe is the compiled violation check of one Σts tgd: the unfolded
-// body enumerates rows of head-variable bindings; each distinct row
-// must extend to a homomorphism of the head into I.
+// body enumerates rows of head-variable bindings; each row must extend
+// to a homomorphism of the head into I.
+//
+// The head is compiled into slot-addressed source atoms: slot k below
+// len(headVars) holds value k of the row, later slots the head's
+// existential variables. A ground head (no existential slots) checks
+// each atom with one Relation.Contains; otherwise the head is matched
+// through the position indexes of I with the head variables pre-bound.
 type probe struct {
 	label     string
 	headVars  []string
 	headAtoms []dep.Atom
+	head      disjunct
+	ground    bool
 	disjuncts []disjunct
 }
 
@@ -227,14 +234,106 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		if err != nil {
 			return nil, err
 		}
+		head := compileHead(d.Head, headVars)
 		sp.probes = append(sp.probes, probe{
 			label:     d.Label,
 			headVars:  headVars,
 			headAtoms: d.Head,
+			head:      head,
+			ground:    head.nvars == len(headVars),
 			disjuncts: ds,
 		})
 	}
 	return sp, nil
+}
+
+// compileHead compiles a Σts head into source atoms over slots: the
+// head variables take slots 0..len(headVars)-1 in order, existential
+// variables the following slots in first-occurrence order.
+func compileHead(atoms []dep.Atom, headVars []string) disjunct {
+	slot := make(map[string]int, len(headVars))
+	for k, v := range headVars {
+		slot[v] = k
+	}
+	hd := disjunct{nvars: len(headVars)}
+	for _, a := range atoms {
+		args := make([]cterm, len(a.Args))
+		for p, t := range a.Args {
+			if t.IsConst {
+				args[p] = cterm{constant: true, val: rel.Const(t.Name)}
+				continue
+			}
+			s, ok := slot[t.Name]
+			if !ok {
+				s = hd.nvars
+				hd.nvars++
+				slot[t.Name] = s
+			}
+			args[p] = cterm{v: s}
+		}
+		hd.atoms = append(hd.atoms, catom{source: true, rel: a.Rel, args: args})
+	}
+	hd.order = joinOrder(hd.atoms, len(headVars))
+	return hd
+}
+
+// headCheck decides, row by row, whether a probe's head holds in I. It
+// is per-call state: one reused tuple for ground heads, one reused
+// runner for heads with existential variables.
+type headCheck struct {
+	pb   *probe
+	rels []*rel.Relation // per head atom; nil when I lacks the relation
+	buf  rel.Tuple
+	r    *runner
+}
+
+func newHeadCheck(pb *probe, i *rel.Instance, ctx context.Context) *headCheck {
+	h := &headCheck{pb: pb}
+	if !pb.ground {
+		h.r = newRunner(&pb.head, i, nil, ctx, func(rel.Tuple) bool { return false })
+		for k := range pb.headVars {
+			h.r.set[k] = true
+		}
+		return h
+	}
+	width := 0
+	h.rels = make([]*rel.Relation, len(pb.head.atoms))
+	for k := range pb.head.atoms {
+		h.rels[k] = i.Relation(pb.head.atoms[k].rel)
+		width = max(width, len(pb.head.atoms[k].args))
+	}
+	h.buf = make(rel.Tuple, width)
+	return h
+}
+
+// holds reports whether the head, with its variables bound to row,
+// has a match in I. A match cut short by cancellation reports false;
+// the caller checks the context before trusting a miss.
+func (h *headCheck) holds(row rel.Tuple) bool {
+	if h.r != nil {
+		copy(h.r.vals, row)
+		h.r.halted = false
+		h.r.run(0)
+		return h.r.halted
+	}
+	for k := range h.pb.head.atoms {
+		if h.rels[k] == nil {
+			return false
+		}
+		a := &h.pb.head.atoms[k]
+		t := h.buf[:len(a.args)]
+		for p, c := range a.args {
+			if c.constant {
+				t[p] = c.val
+			} else {
+				t[p] = row[c.v]
+			}
+		}
+		if !h.rels[k].Contains(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // headUniversalVars returns the body variables of d that occur in its
@@ -311,8 +410,8 @@ func (sp *SettingPlan) checkInstances(i, j *rel.Instance) error {
 }
 
 // SolutionExists decides SOL(P) for (i, j) by running the compiled Σts
-// probes: it returns false exactly when some distinct head-variable row
-// of some unfolded Σts body has no extension into i. It returns a
+// probes: it returns false exactly when some head-variable row of some
+// unfolded Σts body has no extension into i. It returns a
 // *FallbackError when an instance contains labeled nulls.
 func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (bool, error) {
 	if err := sp.checkInstances(i, j); err != nil {
@@ -322,33 +421,20 @@ func (sp *SettingPlan) SolutionExists(i, j *rel.Instance, opts EvalOptions) (boo
 		return false, err
 	}
 	i, j = orEmpty(i), orEmpty(j)
-	homOpts := hom.Options{Ctx: opts.Ctx}
 	for pi := range sp.probes {
 		pb := &sp.probes[pi]
-		seen := make(map[rel.TupleKey]bool)
-		b := hom.Binding{}
+		hc := newHeadCheck(pb, i, opts.Ctx)
 		for di := range pb.disjuncts {
 			violated := false
 			err := forEachRow(&pb.disjuncts[di], i, j, opts.Ctx, func(row rel.Tuple) bool {
-				k := rel.KeyOf(row)
-				if seen[k] {
-					return true
-				}
-				seen[k] = true
-				for vi, name := range pb.headVars {
-					b[name] = row[vi]
-				}
-				if !hom.Exists(pb.headAtoms, i, b, homOpts) {
-					violated = true
-					return false
-				}
-				return true
+				violated = !hc.holds(row)
+				return !violated
 			})
 			if err != nil {
 				return false, err
 			}
 			if violated {
-				// A cut-short hom search may report a spurious miss;
+				// A cut-short head match may report a spurious miss;
 				// never turn cancellation into a verdict.
 				if cerr := canceled(opts.Ctx, "solution probe"); cerr != nil {
 					return false, cerr

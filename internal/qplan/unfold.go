@@ -429,18 +429,22 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 		}
 	}
 
-	d.order = joinOrder(d.atoms)
+	d.order = joinOrder(d.atoms, 0)
 	d.key = d.render()
 	return d, false, nil
 }
 
 // joinOrder greedily orders atoms for execution: repeatedly pick the
-// atom with the most bound argument positions (constants or variables
-// bound by earlier atoms), breaking ties by emission order.
-func joinOrder(atoms []catom) []int {
+// atom with the most bound argument positions (constants, the slots
+// below prebound, or variables bound by earlier atoms), breaking ties
+// by emission order.
+func joinOrder(atoms []catom, prebound int) []int {
 	n := len(atoms)
 	used := make([]bool, n)
 	bound := make(map[int]bool)
+	for v := 0; v < prebound; v++ {
+		bound[v] = true
+	}
 	order := make([]int, 0, n)
 	for len(order) < n {
 		best, bestScore := -1, -1

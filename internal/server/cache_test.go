@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 	"repro/pde"
 	"repro/pde/client"
@@ -585,5 +586,93 @@ t: T(x,y), U(x,z) -> y = z
 		if v := metricsValue(t, c, fmt.Sprintf("pdxd_chase_cache_fallbacks_total{reason=%q}", reason)); v != 0 {
 			t.Errorf("fallback reason %q moved to %d, want 0", reason, v)
 		}
+	}
+}
+
+// TestChaseCacheLookup: lookup finds completed entries only — a hit, a
+// miss, and a pending entry whose leader is still computing.
+func TestChaseCacheLookup(t *testing.T) {
+	cc := newChaseCache(0, 16, newMetrics())
+	cc.put(cacheEntry{key: "done", srcID: "i"}, "artifact", 8)
+	if e, ok := cc.lookup("done"); !ok || e.value != "artifact" || e.srcID != "i" {
+		t.Fatalf("lookup of a completed entry: %+v, %v", e, ok)
+	}
+	if e, ok := cc.lookup("absent"); ok || e != nil {
+		t.Fatalf("lookup of a missing key: %+v, %v", e, ok)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cc.getOrCompute(context.Background(), "pending", cacheEntry{key: "pending"}, func() (any, int64, error) {
+			close(started)
+			<-release
+			return "late", 4, nil
+		})
+	}()
+	<-started
+	if e, ok := cc.lookup("pending"); ok || e != nil {
+		t.Errorf("lookup of a pending entry: %+v, %v", e, ok)
+	}
+	close(release)
+	<-done
+	if e, ok := cc.lookup("pending"); !ok || e.value != "late" {
+		t.Errorf("lookup after the leader finished: %+v, %v", e, ok)
+	}
+	if n, bytes := cc.stats(); n != 2 || bytes != 12 {
+		t.Errorf("lookup changed the cache: %d entries / %d bytes, want 2 / 12", n, bytes)
+	}
+}
+
+// TestCanonicalBytesChargesPreparedSearch: a canonical target's cache
+// charge covers the prepared image search up front. Solving builds the
+// search lazily; neither the charge nor pdxd_chase_cache_bytes moves,
+// and the charge exceeds the chase state by at least the size of what
+// the search keeps (the decided witness of a null-free J_can).
+func TestCanonicalBytesChargesPreparedSearch(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	reg, err := c.Register(ctx, keyedSetting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := c.RegisterInstance(ctx, "E(a,b). E(c,d). E(e,f).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := client.SolveRequest{SettingID: reg.ID, SourceID: inst.ID, Witness: true}
+	first, err := c.ExistsSolution(ctx, req)
+	if err != nil || !first.Exists {
+		t.Fatalf("first solve: %+v, %v", first, err)
+	}
+	entries := s.cache.entries()
+	if len(entries) != 1 || entries[0].kind != kindGeneric {
+		t.Fatalf("want one generic cache entry, got %d", len(entries))
+	}
+	e := entries[0]
+	ct := e.value.(*core.CanonicalTarget)
+	charged := metricsValue(t, c, "pdxd_chase_cache_bytes")
+	if charged != e.bytes || e.bytes != canonicalBytes(ct) {
+		t.Fatalf("cache bytes %d, entry bytes %d, canonicalBytes %d: want all equal", charged, e.bytes, canonicalBytes(ct))
+	}
+	for k := 0; k < 3; k++ {
+		res, err := c.ExistsSolution(ctx, req)
+		if err != nil || !res.CacheHit || res.Solution != first.Solution {
+			t.Fatalf("warm solve %d: %+v, %v", k, res, err)
+		}
+	}
+	if got := metricsValue(t, c, "pdxd_chase_cache_bytes"); got != charged {
+		t.Errorf("pdxd_chase_cache_bytes moved from %d to %d after warm solves", charged, got)
+	}
+	chaseOnly := instanceBytes(ct.JCan) + 256 +
+		instanceBytes(ct.STResult.Instance) + instanceBytes(ct.STResult.Start) +
+		instanceBytes(ct.TResult.Instance) + instanceBytes(ct.TResult.Start)
+	ok, wit, _, err := core.ExistsSolutionGenericFrom(s.reg.Get(e.settingID).Setting, e.srcInst, e.tgtInst, ct, core.SolveOptions{})
+	if err != nil || !ok {
+		t.Fatalf("solve over the cached target: %v, %v", ok, err)
+	}
+	if prepared := charged - chaseOnly; prepared < instanceBytes(wit) {
+		t.Errorf("charge %d leaves %d for the prepared search, below its witness's %d", charged, prepared, instanceBytes(wit))
 	}
 }

@@ -175,6 +175,25 @@ func (c *chaseCache) put(meta cacheEntry, value any, bytes int64) {
 	c.evictOverBudgetLocked(meta.key)
 }
 
+// lookup returns the completed entry under key without touching its
+// recency; a pending or missing key reports false.
+func (c *chaseCache) lookup(key string) (*cacheEntry, bool) {
+	if c.disabled {
+		return nil, false
+	}
+	c.lock()
+	defer c.unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	e := el.Value.(*cacheEntry)
+	if !e.done || e.err != nil {
+		return nil, false
+	}
+	return e, true
+}
+
 // entries snapshots the completed entries, most recently used first
 // (append migration walks this without holding the lock across chases).
 func (c *chaseCache) entries() []*cacheEntry {

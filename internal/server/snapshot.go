@@ -243,7 +243,7 @@ func (s *Server) installSnapshot(key string, e *snap.Entry, fromPeer bool) error
 	s.cache.put(meta, value, bytes)
 	if fromPeer {
 		s.met.warmTransfers.Add(1)
-		if el, ok := s.cacheEntryByKey(meta.key); ok {
+		if el, ok := s.cache.lookup(meta.key); ok {
 			s.saveAsync(el)
 		}
 	}
@@ -269,16 +269,6 @@ func (s *Server) adoptInstance(text, claimedID, side string) (*pde.Instance, err
 		}
 	}
 	return si.Inst, nil
-}
-
-// cacheEntryByKey finds a completed cache entry by its composite key.
-func (s *Server) cacheEntryByKey(key string) (*cacheEntry, bool) {
-	for _, e := range s.cache.entries() {
-		if e.key == key {
-			return e, true
-		}
-	}
-	return nil, false
 }
 
 // WarmFrom pulls the peer's cache listing and installs every snapshot

@@ -51,9 +51,13 @@ func tractableBytes(t *core.TractableTrace) int64 {
 	return n
 }
 
-// canonicalBytes approximates a canonical target's heap footprint.
+// canonicalBytes approximates a canonical target's heap footprint. The
+// prepared image search the first solve adds to the target is charged
+// up front at its bound, the size of J_can, so the byte total stays
+// right although the search is built lazily (and rebuilt after a
+// decode, resume or migration).
 func canonicalBytes(ct *core.CanonicalTarget) int64 {
-	n := instanceBytes(ct.JCan) + int64(256)
+	n := 2*instanceBytes(ct.JCan) + int64(256)
 	if ct.STResult != nil {
 		n += instanceBytes(ct.STResult.Instance) + instanceBytes(ct.STResult.Start)
 	}
@@ -113,7 +117,7 @@ func (s *Server) snapshotFill(key string) {
 	if s.cfg.Snapshots == nil {
 		return
 	}
-	if e, ok := s.cacheEntryByKey(key); ok {
+	if e, ok := s.cache.lookup(key); ok {
 		s.saveAsync(e)
 	}
 }
