@@ -112,7 +112,7 @@ func cmdServe(args []string) error {
 	}
 	fmt.Fprintf(stdout, "pdxd listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -136,4 +136,20 @@ func cmdServe(args []string) error {
 		logger.Info("drained")
 		return nil
 	}
+}
+
+// Connection timeouts against slow or idle clients. A client must send
+// its request headers within readHeaderTimeout, and a keep-alive
+// connection closes after idleTimeout without a request. Bodies and
+// responses get no fixed limit: their time grows with the instance
+// size (a cache push may carry 256 MiB), and a solve's run time is
+// bounded by its deadline instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's http.Server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

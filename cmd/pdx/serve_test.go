@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -144,5 +145,21 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), `"msg":"drained"`) {
 		t.Errorf("drain log missing from stderr:\n%s", stderr.String())
+	}
+}
+
+// TestNewHTTPServerTimeouts pins the slow-client protection of pdx
+// serve: a header deadline and an idle keep-alive limit.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NotFoundHandler()
+	hs := newHTTPServer(h)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("handler not installed")
 	}
 }

@@ -317,6 +317,60 @@ func jsonBenchSuite() (*benchReport, error) {
 					k, results[k].Answers, groups[persons[k]], persons[k])
 			}
 		}
+
+		// The same batch as pdxd serves it when every query brings
+		// constants the daemon has not seen: each iteration asks about
+		// another window of persons, so no query text repeats, and each
+		// query goes through its shape key, the shape's template
+		// (compiled once, on the first miss), a bind, and a serial
+		// evaluation.
+		const npersons = 1600
+		fresh := make([]certain.UCQ, npersons)
+		for k := range fresh {
+			fresh[k] = certain.UCQ{{
+				Name: fmt.Sprintf("q%d", k),
+				Head: []string{"g"},
+				Body: []dep.Atom{dep.NewAtom("Rec",
+					dep.Cst(fmt.Sprintf("p%d", k)), dep.Var("g"), dep.Var("u"))},
+			}}
+		}
+		templates := map[string]*qplan.Template{}
+		serial := qplan.EvalOptions{Parallelism: 1}
+		var window int
+		rec = record("certain-batch-fresh/n=1600/q=256", nil, nil, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				window = (i * nq) % npersons
+				ex, err := sp.SolutionExists(lavI, lavJ, serial)
+				if err != nil || !ex {
+					b.Fatalf("batch probes: ex=%v err=%v", ex, err)
+				}
+				for k := 0; k < nq; k++ {
+					q := fresh[(window+k)%npersons]
+					shape, params := sp.ShapeOf(q)
+					tmpl := templates[shape]
+					if tmpl == nil {
+						if tmpl, err = sp.CompileTemplate(q); err != nil {
+							b.Fatal(err)
+						}
+						templates[shape] = tmpl
+					}
+					if results[k], err = tmpl.Bind(q[0].Name, params).EvalGiven(ex, lavI, lavJ, serial); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		rep.Benchmarks = append(rep.Benchmarks, rec)
+		if len(templates) != 1 {
+			return nil, fmt.Errorf("fresh batch compiled %d templates, want 1 shape", len(templates))
+		}
+		for k := range results {
+			person := fmt.Sprintf("p%d", (window+k)%npersons)
+			if len(results[k].Answers) != 1 || results[k].Answers[0][0].ConstText() != groups[person] {
+				return nil, fmt.Errorf("fresh batch query %d: got %v, want group %q of %s",
+					k, results[k].Answers, groups[person], person)
+			}
+		}
 	}
 
 	// Warm generic verdict: ExistsSolutionGenericFrom over a cached

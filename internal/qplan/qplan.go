@@ -201,6 +201,10 @@ type SettingPlan struct {
 	// universal[d] is the universal-variable set of s.ST[d].
 	universal []map[string]bool
 	probes    []probe
+	// constants holds the text of every constant in Σst and Σts (the
+	// fragment has no other dependencies): query constants outside it
+	// are lifted into shape parameters.
+	constants map[string]bool
 }
 
 // CompileSetting compiles the setting's origin table and Σts probes,
@@ -213,6 +217,20 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		s:         s,
 		origins:   make(map[string][]origin),
 		universal: make([]map[string]bool, len(s.ST)),
+		constants: make(map[string]bool),
+	}
+	for _, deps := range [][]dep.TGD{s.ST, s.TS} {
+		for _, d := range deps {
+			for _, atoms := range [][]dep.Atom{d.Body, d.Head} {
+				for _, a := range atoms {
+					for _, t := range a.Args {
+						if t.IsConst {
+							sp.constants[t.Name] = true
+						}
+					}
+				}
+			}
+		}
 	}
 	for di, d := range s.ST {
 		uni := make(map[string]bool)
@@ -230,7 +248,7 @@ func CompileSetting(s *core.Setting) (*SettingPlan, error) {
 		for i, v := range headVars {
 			headTerms[i] = dep.Var(v)
 		}
-		ds, _, err := sp.unfold(headTerms, d.Body, false)
+		ds, _, err := sp.unfold(headTerms, d.Body, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -462,6 +480,12 @@ type Plan struct {
 // CompileQuery unfolds the UCQ into a plan over the setting. The query
 // must validate against the setting's target schema.
 func (sp *SettingPlan) CompileQuery(q certain.UCQ) (*Plan, error) {
+	return sp.compile(q, nil)
+}
+
+// compile unfolds the UCQ with the constants lifted by params compiled
+// as parameter terms (see unfold).
+func (sp *SettingPlan) compile(q certain.UCQ, params map[string]int) (*Plan, error) {
 	if err := q.Validate(sp.s.Target); err != nil {
 		return nil, err
 	}
@@ -477,7 +501,7 @@ func (sp *SettingPlan) CompileQuery(q certain.UCQ) (*Plan, error) {
 		for i, v := range cq.Head {
 			headTerms[i] = dep.Var(v)
 		}
-		ds, dropped, err := sp.unfold(headTerms, cq.Body, !p.boolean)
+		ds, dropped, err := sp.unfold(headTerms, cq.Body, params, !p.boolean)
 		if err != nil {
 			return nil, err
 		}

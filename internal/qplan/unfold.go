@@ -25,11 +25,30 @@ import (
 	"repro/internal/rel"
 )
 
-// cterm is a compiled term: a constant value or a variable slot.
+// cterm is a compiled term: a constant value, a variable slot v, or —
+// in a Template only — parameter v of the query shape, which Bind
+// replaces by a constant before any evaluation. cterms are comparable:
+// two constant-like terms (constants and parameters) are equal exactly
+// when they denote the same value of every binding.
 type cterm struct {
 	constant bool
+	param    bool
 	val      rel.Value
 	v        int
+}
+
+// isVar reports whether the term is a variable slot.
+func (t cterm) isVar() bool { return !t.constant && !t.param }
+
+// constTerm compiles a constant of the unfolded text: parameter k when
+// params lifts the text into slot k, the literal value otherwise.
+// Lifted constants occur in no dependency of the setting, so applying
+// params to setting constants leaves them literal.
+func constTerm(text string, params map[string]int) cterm {
+	if k, ok := params[text]; ok {
+		return cterm{param: true, v: k}
+	}
+	return cterm{constant: true, val: rel.Const(text)}
 }
 
 // catom is a compiled atom, evaluated against the source instance
@@ -47,17 +66,24 @@ type disjunct struct {
 	order []int
 	head  []cterm
 	nvars int
-	// key is the canonical rendering used for deduplication.
+	// key is the canonical, injective rendering used for deduplication
+	// at compile time.
 	key string
+	// params marks a template disjunct holding a parameter term.
+	params bool
 }
 
 // unfold rewrites (head, body) — a query disjunct or a Σts body with
-// its head variables — into compiled disjuncts. dropNullHeads drops
+// its head variables — into compiled disjuncts. Constants lifted by
+// params become parameter terms: during unification they behave as
+// constants distinct from each other and from every setting constant,
+// which is what their values are in every query of the shape (nil
+// params compiles every constant literally). dropNullHeads drops
 // disjuncts binding a head variable to an existential position (open
 // queries: only ground rows can be certain); when false such a binding
 // is an internal error, since the fragment gate proved Σts heads
 // null-free. The second result counts the dropped disjuncts.
-func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bool) ([]disjunct, int, error) {
+func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, params map[string]int, dropNullHeads bool) ([]disjunct, int, error) {
 	// One choice list per atom: the stored target instance, then every
 	// st head conjunct over the same relation.
 	choices := make([][]origin, len(body))
@@ -79,7 +105,7 @@ func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bo
 	dropped := 0
 	asg := make([]int, len(body))
 	for {
-		d, drop, err := sp.buildDisjunct(head, body, choices, asg, dropNullHeads)
+		d, drop, err := sp.buildDisjunct(head, body, params, choices, asg, dropNullHeads)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -105,7 +131,8 @@ func (sp *SettingPlan) unfold(head []dep.Term, body []dep.Atom, dropNullHeads bo
 }
 
 // unifier is a union-find over query variables and trigger-copy
-// variables, with per-class attributes: a constant binding, or an
+// variables, with per-class attributes: a constant (or parameter)
+// binding, or an
 // existential marker (copy, variable) identifying a Skolem null.
 type unifier struct {
 	sp     *SettingPlan
@@ -125,7 +152,7 @@ type unifier struct {
 
 type attr struct {
 	hasConst bool
-	constVal rel.Value
+	constant cterm // a constant or parameter term
 	hasEx    bool
 	exCopy   int
 	exVar    string
@@ -203,7 +230,7 @@ func (u *unifier) drain() {
 // two Skolem markers coincide. It reports false on contradiction: two
 // distinct constants, or a constant meeting a Skolem null.
 func (u *unifier) mergeAttrs(a, b attr) (attr, bool) {
-	if a.hasConst && b.hasConst && a.constVal != b.constVal {
+	if a.hasConst && b.hasConst && a.constant != b.constant {
 		return attr{}, false
 	}
 	if (a.hasConst && b.hasEx) || (a.hasEx && b.hasConst) {
@@ -211,7 +238,7 @@ func (u *unifier) mergeAttrs(a, b attr) (attr, bool) {
 	}
 	out := a
 	if b.hasConst {
-		out.hasConst, out.constVal = true, b.constVal
+		out.hasConst, out.constant = true, b.constant
 	}
 	if a.hasEx && b.hasEx {
 		ca, cb := u.findCopy(a.exCopy), u.findCopy(b.exCopy)
@@ -243,9 +270,9 @@ func (u *unifier) mergeCopies(ca, cb int) {
 	}
 }
 
-func (u *unifier) bindConst(n int, val rel.Value) {
+func (u *unifier) bindConst(n int, c cterm) {
 	r := u.find(n)
-	merged, ok := u.mergeAttrs(u.attrs[r], attr{hasConst: true, constVal: val})
+	merged, ok := u.mergeAttrs(u.attrs[r], attr{hasConst: true, constant: c})
 	if !ok {
 		u.failed = true
 		return
@@ -268,7 +295,7 @@ func (u *unifier) bindExistential(n, copyID int, evar string) {
 // buildDisjunct compiles one origin assignment. It returns (nil, true,
 // nil) when the disjunct is dropped for binding a head variable to a
 // null, and (nil, false, nil) when unification pruned it.
-func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [][]origin, asg []int, dropNullHeads bool) (*disjunct, bool, error) {
+func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, params map[string]int, choices [][]origin, asg []int, dropNullHeads bool) (*disjunct, bool, error) {
 	u := newUnifier(sp)
 	qvar := make(map[string]int)
 	node := func(name string) int {
@@ -302,15 +329,15 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 			qt := a.Args[p]
 			switch {
 			case ht.IsConst && qt.IsConst:
-				if ht.Name != qt.Name {
+				if constTerm(ht.Name, params) != constTerm(qt.Name, params) {
 					u.failed = true
 				}
 			case ht.IsConst:
-				u.bindConst(node(qt.Name), rel.Const(ht.Name))
+				u.bindConst(node(qt.Name), constTerm(ht.Name, params))
 			case sp.universal[o.tgd][ht.Name]:
 				hn := u.copyVars[c][ht.Name]
 				if qt.IsConst {
-					u.bindConst(hn, rel.Const(qt.Name))
+					u.bindConst(hn, constTerm(qt.Name, params))
 				} else {
 					u.union(node(qt.Name), hn)
 				}
@@ -335,7 +362,7 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	pruned := false
 	termOf := func(t dep.Term, copyID int) cterm {
 		if t.IsConst {
-			return cterm{constant: true, val: rel.Const(t.Name)}
+			return constTerm(t.Name, params)
 		}
 		var n int
 		if copyID >= 0 {
@@ -346,7 +373,7 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 		r := u.find(n)
 		at := u.attrs[r]
 		if at.hasConst {
-			return cterm{constant: true, val: at.constVal}
+			return at.constant
 		}
 		if at.hasEx {
 			// A Skolem null flowed into an instance-matched position;
@@ -372,7 +399,7 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 			}
 		}
 		a := catom{source: source, rel: relName, args: ct}
-		k := a.render()
+		k := a.key()
 		if seenAtom[k] {
 			return
 		}
@@ -404,14 +431,14 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	d.head = make([]cterm, len(head))
 	for hi, t := range head {
 		if t.IsConst {
-			d.head[hi] = cterm{constant: true, val: rel.Const(t.Name)}
+			d.head[hi] = constTerm(t.Name, params)
 			continue
 		}
 		r := u.find(node(t.Name))
 		at := u.attrs[r]
 		switch {
 		case at.hasConst:
-			d.head[hi] = cterm{constant: true, val: at.constVal}
+			d.head[hi] = at.constant
 		case at.hasEx:
 			if !dropNullHeads {
 				return nil, false, fmt.Errorf("qplan: internal: probe head variable %s bound to a null", t.Name)
@@ -430,14 +457,14 @@ func (sp *SettingPlan) buildDisjunct(head []dep.Term, body []dep.Atom, choices [
 	}
 
 	d.order = joinOrder(d.atoms, 0)
-	d.key = d.render()
+	d.key = d.write(nil, true)
 	return d, false, nil
 }
 
 // joinOrder greedily orders atoms for execution: repeatedly pick the
-// atom with the most bound argument positions (constants, the slots
-// below prebound, or variables bound by earlier atoms), breaking ties
-// by emission order.
+// atom with the most bound argument positions (constants, parameters,
+// the slots below prebound, or variables bound by earlier atoms),
+// breaking ties by emission order.
 func joinOrder(atoms []catom, prebound int) []int {
 	n := len(atoms)
 	used := make([]bool, n)
@@ -454,7 +481,7 @@ func joinOrder(atoms []catom, prebound int) []int {
 			}
 			score := 0
 			for _, t := range atoms[k].args {
-				if t.constant || bound[t.v] {
+				if !t.isVar() || bound[t.v] {
 					score++
 				}
 			}
@@ -465,7 +492,7 @@ func joinOrder(atoms []catom, prebound int) []int {
 		used[best] = true
 		order = append(order, best)
 		for _, t := range atoms[best].args {
-			if !t.constant {
+			if t.isVar() {
 				bound[t.v] = true
 			}
 		}
@@ -474,20 +501,34 @@ func joinOrder(atoms []catom, prebound int) []int {
 }
 
 // render produces the canonical text of the disjunct: head then atoms,
-// with variables renumbered by first occurrence so structurally equal
-// disjuncts from different origin assignments deduplicate.
+// with variables renumbered by first occurrence.
 func (d *disjunct) render() string {
-	return d.renderWith(nil)
+	return d.write(nil, false)
 }
 
 // renderWith is render with head-variable names substituted for the
 // head slots (used for probe display).
 func (d *disjunct) renderWith(headNames []string) string {
+	return d.write(headNames, false)
+}
+
+// write renders the disjunct. With exact set it produces the
+// deduplication key: constants and relation names are quoted, so the
+// key is injective — a constant "v0" never reads as variable v0 — and
+// structurally equal disjuncts from different origin assignments, and
+// only those, deduplicate. Parameters render as $k.
+func (d *disjunct) write(headNames []string, exact bool) string {
 	canon := make(map[int]int)
 	var b strings.Builder
+	b.Grow(16 + 24*len(d.atoms))
 	writeTerm := func(t cterm) {
-		if t.constant {
-			b.WriteString(t.val.String())
+		switch {
+		case t.constant:
+			writeName(&b, t.val.String(), exact)
+			return
+		case t.param:
+			b.WriteString("$")
+			b.WriteString(strconv.Itoa(t.v))
 			return
 		}
 		c, ok := canon[t.v]
@@ -504,7 +545,7 @@ func (d *disjunct) renderWith(headNames []string) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			if headNames != nil && !t.constant {
+			if headNames != nil && t.isVar() {
 				b.WriteString(headNames[i])
 				b.WriteString("=")
 			}
@@ -523,7 +564,7 @@ func (d *disjunct) renderWith(headNames []string) string {
 		} else {
 			b.WriteString("tgt:")
 		}
-		b.WriteString(a.rel)
+		writeName(&b, a.rel, exact)
 		b.WriteString("(")
 		for p, t := range a.args {
 			if p > 0 {
@@ -536,21 +577,36 @@ func (d *disjunct) renderWith(headNames []string) string {
 	return b.String()
 }
 
-// render is the exact (slot-numbered) form of one atom, used to drop
-// duplicate atoms within a disjunct.
-func (a *catom) render() string {
+// writeName writes a relation name or constant text, quoted when exact.
+func writeName(b *strings.Builder, name string, exact bool) {
+	if exact {
+		var buf [64]byte
+		b.Write(strconv.AppendQuote(buf[:0], name))
+		return
+	}
+	b.WriteString(name)
+}
+
+// key is the exact, injective (slot-numbered) form of one atom, used
+// to drop duplicate atoms within a disjunct.
+func (a *catom) key() string {
 	var b strings.Builder
+	b.Grow(8 + len(a.rel) + 8*len(a.args))
 	if a.source {
 		b.WriteString("s:")
 	} else {
 		b.WriteString("t:")
 	}
-	b.WriteString(a.rel)
+	writeName(&b, a.rel, true)
 	for _, t := range a.args {
 		b.WriteString("|")
-		if t.constant {
-			b.WriteString(t.val.String())
-		} else {
+		switch {
+		case t.constant:
+			writeName(&b, t.val.String(), true)
+		case t.param:
+			b.WriteString("$")
+			b.WriteString(strconv.Itoa(t.v))
+		default:
 			b.WriteString("v")
 			b.WriteString(strconv.Itoa(t.v))
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/qplan"
@@ -72,8 +73,8 @@ type metrics struct {
 	// unsupported dependency kinds).
 	cacheFallbacks [len(fallbackLabels)]atomic.Int64
 
-	planHits   atomic.Int64 // certain-answer requests served by a cached compiled plan
-	planMisses atomic.Int64 // compiled plans built (and cached) on demand
+	planHits   atomic.Int64 // certain-answer queries whose shape had a cached template
+	planMisses atomic.Int64 // query shapes compiled into templates on demand
 	// compiledFallbacks counts certain-answer requests that fell back
 	// from the compiled path to solution enumeration, by qplan fallback
 	// reason (indexed per compiledFallbackLabels; sized in newMetrics).
@@ -89,27 +90,41 @@ type metrics struct {
 	clusterHandoffs      atomic.Int64 // cache entries pushed to their new owner after a ring change
 	clusterRingChanges   atomic.Int64 // liveness transitions observed on the ring
 
-	mu        sync.Mutex
-	requests  map[string]int64 // route|status -> count
-	durMillis map[string]int64 // route -> cumulative handler milliseconds
-	durCount  map[string]int64 // route -> observations
+	panics atomic.Int64 // handler panics contained as 500s
+
+	mu       sync.Mutex
+	requests map[routeStatus]int64
+	timings  map[string]routeTiming // by route
+}
+
+type routeStatus struct {
+	route  string
+	status int
+}
+
+// routeTiming accumulates handler time at full resolution, so requests
+// faster than a millisecond still add up.
+type routeTiming struct {
+	sum   time.Duration
+	count int64
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		compiledFallbacks: make([]atomic.Int64, len(compiledFallbackLabels)),
-		requests:          make(map[string]int64),
-		durMillis:         make(map[string]int64),
-		durCount:          make(map[string]int64),
+		requests:          make(map[routeStatus]int64),
+		timings:           make(map[string]routeTiming),
 	}
 }
 
 // observe records one completed request.
-func (m *metrics) observe(route string, status int, millis int64) {
+func (m *metrics) observe(route string, status int, d time.Duration) {
 	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", route, status)]++
-	m.durMillis[route] += millis
-	m.durCount[route]++
+	m.requests[routeStatus{route, status}]++
+	t := m.timings[route]
+	t.sum += d
+	t.count++
+	m.timings[route] = t
 	m.mu.Unlock()
 }
 
@@ -121,30 +136,36 @@ func (m *metrics) render(registrySize, instanceCount, cacheEntries int, cacheByt
 	b.WriteString("# HELP pdxd_requests_total Requests served, by route and HTTP status.\n")
 	b.WriteString("# TYPE pdxd_requests_total counter\n")
 	m.mu.Lock()
-	keys := make([]string, 0, len(m.requests))
+	keys := make([]routeStatus, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].route != keys[b].route {
+			return keys[a].route < keys[b].route
+		}
+		return keys[a].status < keys[b].status
+	})
 	for _, k := range keys {
-		route, status, _ := strings.Cut(k, "|")
-		fmt.Fprintf(&b, "pdxd_requests_total{route=%q,status=%q} %d\n", route, status, m.requests[k])
+		fmt.Fprintf(&b, "pdxd_requests_total{route=%q,status=\"%d\"} %d\n", k.route, k.status, m.requests[k])
 	}
 	b.WriteString("# HELP pdxd_request_duration_milliseconds Cumulative handler time, by route.\n")
 	b.WriteString("# TYPE pdxd_request_duration_milliseconds counter\n")
-	routes := make([]string, 0, len(m.durCount))
-	for k := range m.durCount {
+	routes := make([]string, 0, len(m.timings))
+	for k := range m.timings {
 		routes = append(routes, k)
 	}
 	sort.Strings(routes)
 	for _, r := range routes {
-		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_sum{route=%q} %d\n", r, m.durMillis[r])
-		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_count{route=%q} %d\n", r, m.durCount[r])
+		t := m.timings[r]
+		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_sum{route=%q} %.3f\n", r, float64(t.sum)/float64(time.Millisecond))
+		fmt.Fprintf(&b, "pdxd_request_duration_milliseconds_count{route=%q} %d\n", r, t.count)
 	}
 	m.mu.Unlock()
 
 	fmt.Fprintf(&b, "# HELP pdxd_in_flight_solves Solves currently executing.\n# TYPE pdxd_in_flight_solves gauge\npdxd_in_flight_solves %d\n", m.inFlight.Load())
 	fmt.Fprintf(&b, "# HELP pdxd_queue_depth Solves waiting for an admission slot.\n# TYPE pdxd_queue_depth gauge\npdxd_queue_depth %d\n", m.queueDepth.Load())
+	fmt.Fprintf(&b, "# HELP pdxd_panics_total Handler panics contained and answered with a 500.\n# TYPE pdxd_panics_total counter\npdxd_panics_total %d\n", m.panics.Load())
 	fmt.Fprintf(&b, "# HELP pdxd_shed_total Requests rejected by admission control.\n# TYPE pdxd_shed_total counter\npdxd_shed_total %d\n", m.shed.Load())
 	fmt.Fprintf(&b, "# HELP pdxd_solver_nodes_total Cumulative generic-solver search nodes.\n# TYPE pdxd_solver_nodes_total counter\npdxd_solver_nodes_total %d\n", m.nodes.Load())
 	fmt.Fprintf(&b, "# HELP pdxd_registry_settings Registered settings.\n# TYPE pdxd_registry_settings gauge\npdxd_registry_settings %d\n", registrySize)
@@ -159,8 +180,8 @@ func (m *metrics) render(registrySize, instanceCount, cacheEntries int, cacheByt
 	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_evictions_total Cache entries dropped by LRU bounds or explicit eviction.\n# TYPE pdxd_chase_cache_evictions_total counter\npdxd_chase_cache_evictions_total %d\n", m.cacheEvictions.Load())
 	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_entries Cached chased artifacts.\n# TYPE pdxd_chase_cache_entries gauge\npdxd_chase_cache_entries %d\n", cacheEntries)
 	fmt.Fprintf(&b, "# HELP pdxd_chase_cache_bytes Approximate bytes held by the chase cache.\n# TYPE pdxd_chase_cache_bytes gauge\npdxd_chase_cache_bytes %d\n", cacheBytes)
-	fmt.Fprintf(&b, "# HELP pdxd_plan_cache_hits_total Certain-answer requests served by a cached compiled plan.\n# TYPE pdxd_plan_cache_hits_total counter\npdxd_plan_cache_hits_total %d\n", m.planHits.Load())
-	fmt.Fprintf(&b, "# HELP pdxd_plan_cache_misses_total Compiled plans built on demand.\n# TYPE pdxd_plan_cache_misses_total counter\npdxd_plan_cache_misses_total %d\n", m.planMisses.Load())
+	fmt.Fprintf(&b, "# HELP pdxd_plan_cache_hits_total Compiled certain-answer queries whose query shape (constants outside the setting lifted) had a cached plan template.\n# TYPE pdxd_plan_cache_hits_total counter\npdxd_plan_cache_hits_total %d\n", m.planHits.Load())
+	fmt.Fprintf(&b, "# HELP pdxd_plan_cache_misses_total Query shapes compiled into a plan template on demand.\n# TYPE pdxd_plan_cache_misses_total counter\npdxd_plan_cache_misses_total %d\n", m.planMisses.Load())
 	b.WriteString("# HELP pdxd_certain_compiled_fallbacks_total Certain-answer requests that fell back to solution enumeration, by reason.\n# TYPE pdxd_certain_compiled_fallbacks_total counter\n")
 	for i, l := range compiledFallbackLabels {
 		fmt.Fprintf(&b, "pdxd_certain_compiled_fallbacks_total{reason=%q} %d\n", l, m.compiledFallbacks[i].Load())

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,34 +176,73 @@ func (s *Server) InFlight() int { return int(s.met.inFlight.Load()) }
 // being admitted the moment the drain begins.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// statusWriter captures the status code for logs and metrics.
+// statusWriter captures the status code for logs and metrics, and
+// whether the response has started.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
+	status  int
+	started bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
+	w.started = true
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// route wraps a handler with request logging and metrics.
+func (w *statusWriter) Write(p []byte) (int, error) {
+	w.started = true
+	return w.ResponseWriter.Write(p)
+}
+
+// route wraps a handler with panic containment, request logging and
+// metrics.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		millis := time.Since(start).Milliseconds()
-		s.met.observe(name, sw.status, millis)
+		s.serveContained(name, h, sw, r)
+		d := time.Since(start)
+		s.met.observe(name, sw.status, d)
 		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("route", name),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
-			slog.Int64("duration_ms", millis),
+			slog.Int64("duration_ms", d.Milliseconds()),
 			slog.String("remote", r.RemoteAddr),
 		)
 	}
+}
+
+// serveContained runs the handler and turns a panic into a typed 500
+// (client.CodeInternal), counted in pdxd_panics_total and logged with
+// its stack, so one bad request costs one error response instead of a
+// dropped connection. http.ErrAbortHandler is a deliberate abort and
+// propagates to net/http untouched; so does a panic after the response
+// has started, re-raised as ErrAbortHandler because a 500 can no
+// longer be sent and a truncated response must not look complete.
+func (s *Server) serveContained(name string, h http.HandlerFunc, w *statusWriter, r *http.Request) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if v == http.ErrAbortHandler {
+			panic(v)
+		}
+		s.met.panics.Add(1)
+		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "handler panic",
+			slog.String("route", name),
+			slog.String("panic", fmt.Sprint(v)),
+			slog.String("stack", string(debug.Stack())),
+		)
+		if w.started {
+			panic(http.ErrAbortHandler)
+		}
+		writeErr(w, http.StatusInternalServerError, client.CodeInternal, "internal error in %s", name)
+	}()
+	h(w, r)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -336,9 +337,12 @@ func TestDrain(t *testing.T) {
 }
 
 // TestConcurrentClients hammers one registered setting from 32 clients
-// (the acceptance race scenario; run under -race).
+// (the acceptance race scenario; run under -race). The admission queue
+// holds every client: with the default queue (2×GOMAXPROCS) a small
+// machine rightly sheds some of them with 429, which TestAdmissionShedding
+// covers, and which is not what this test checks.
 func TestConcurrentClients(t *testing.T) {
-	_, c := newTestServer(t, Config{})
+	_, c := newTestServer(t, Config{MaxQueue: 32})
 	ctx := context.Background()
 
 	reg, err := c.Register(ctx, example1)
@@ -478,4 +482,66 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
+}
+
+// TestRoutePanicContained checks a panicking handler is answered with a
+// typed 500 and counted, a deliberate http.ErrAbortHandler propagates,
+// and a panic after the response started aborts instead of appending a
+// 500 to a half-written body.
+func TestRoutePanicContained(t *testing.T) {
+	s := New(Config{})
+	boom := s.route("boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	rec := httptest.NewRecorder()
+	boom(rec, httptest.NewRequest(http.MethodPost, "/boom", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var body struct{ Error client.APIError }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error.Code != client.CodeInternal {
+		t.Fatalf("body %q (err %v), want code %q", rec.Body, err, client.CodeInternal)
+	}
+	metrics := s.met.render(0, 0, 0, 0)
+	for _, want := range []string{"pdxd_panics_total 1\n", `pdxd_requests_total{route="boom",status="500"} 1`} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
+
+	for name, h := range map[string]http.HandlerFunc{
+		"abort": func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) },
+		"late": func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = w.Write([]byte("partial"))
+			panic("late")
+		},
+	} {
+		func() {
+			defer func() {
+				if v := recover(); v != http.ErrAbortHandler {
+					t.Errorf("%s: recovered %v, want http.ErrAbortHandler", name, v)
+				}
+			}()
+			s.route(name, h)(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+		}()
+	}
+	if !strings.Contains(s.met.render(0, 0, 0, 0), "pdxd_panics_total 2\n") {
+		t.Error("the late panic was not counted")
+	}
+}
+
+// TestRequestDurationSubMillisecond checks fast requests add up instead
+// of truncating to zero milliseconds each.
+func TestRequestDurationSubMillisecond(t *testing.T) {
+	m := newMetrics()
+	m.observe("healthz", http.StatusOK, 200*time.Microsecond)
+	m.observe("healthz", http.StatusOK, 200*time.Microsecond)
+	out := m.render(0, 0, 0, 0)
+	for _, want := range []string{
+		`pdxd_request_duration_milliseconds_sum{route="healthz"} 0.400`,
+		`pdxd_request_duration_milliseconds_count{route="healthz"} 2`,
+		`pdxd_requests_total{route="healthz",status="200"} 2`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
 }

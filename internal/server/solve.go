@@ -408,8 +408,14 @@ func (s *Server) migrateCache(ctx context.Context, baseID string, child *StoredI
 // sharing the per-pair work: the setting's solution probes run at most
 // once (every compiled plan evaluates against that verdict), and the
 // queries that fall off the compiled path share one chased artifact.
+//
+// Compiled plans evaluate serially, one query after another. A batch
+// query is a few index lookups, too small to pay for fanning its scans
+// out over workers, and fanning the batch itself out would take cores
+// from concurrent requests (DESIGN.md §15).
 func (s *Server) solveCertainBatch(ctx context.Context, c *Compiled, p *solvePair, queries []pde.UCQ) (client.CertainBatchResponse, error) {
 	out := client.CertainBatchResponse{Results: make([]client.CertainBatchResult, len(queries))}
+	serial := qplan.EvalOptions{Parallelism: 1, Ctx: ctx}
 
 	// Lazy shared state: neither the probes nor the chase run unless
 	// some query needs them.
@@ -422,7 +428,7 @@ func (s *Server) solveCertainBatch(ctx context.Context, c *Compiled, p *solvePai
 	probes := func() (bool, error) {
 		if !probesDone {
 			probesDone = true
-			solExists, probeErr = c.Plan.SolutionExists(p.i, p.j, s.planOpts(ctx))
+			solExists, probeErr = c.Plan.SolutionExists(p.i, p.j, serial)
 		}
 		return solExists, probeErr
 	}
@@ -445,7 +451,7 @@ func (s *Server) solveCertainBatch(ctx context.Context, c *Compiled, p *solvePai
 				ex, err := probes()
 				if err == nil {
 					var res certain.Result
-					if res, err = plan.EvalGiven(ex, p.i, p.j, s.planOpts(ctx)); err == nil {
+					if res, err = plan.EvalGiven(ex, p.i, p.j, serial); err == nil {
 						out.Results[n] = batchResult(q, res, true, "")
 						continue
 					}
